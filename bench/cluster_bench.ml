@@ -226,18 +226,7 @@ let run cfg =
              (if i = List.length results - 1 then "" else ",")))
       results ;
     Buffer.add_string buf "  ]\n}\n" ;
-    let path = "BENCH_cluster.json" in
     (* same discipline as the parallel-scaling bench: a single-core
-       host cannot measure shard scaling, so never let it silently
-       replace the committed numbers *)
-    if cores <= 1 && Sys.file_exists path && not cfg.Harness.force then
-      Printf.printf
-        "\nWARNING: host exposes only %d core online; NOT overwriting the \
-         committed %s (re-run with --force to override)\n"
-        cores path
-    else begin
-      let oc = open_out path in
-      output_string oc (Buffer.contents buf) ;
-      close_out oc ;
-      Printf.printf "\nwrote %s\n" path
-    end
+       host cannot measure shard scaling *)
+    Harness.write_report cfg ~path:"BENCH_cluster.json"
+      ~refuse:Harness.single_core (Buffer.contents buf)

@@ -252,17 +252,7 @@ let run cfg =
              (if i = List.length results - 1 then "" else ",")))
       results ;
     Buffer.add_string buf "  ]\n}\n" ;
-    let path = "BENCH_faults.json" in
     (* a single-core host serializes the shard processes and measures
-       nothing: never let it silently replace the committed numbers *)
-    if cores <= 1 && Sys.file_exists path && not cfg.Harness.force then
-      Printf.printf
-        "\nWARNING: host exposes only %d core online; NOT overwriting the \
-         committed %s (re-run with --force to override)\n"
-        cores path
-    else begin
-      let oc = open_out path in
-      output_string oc (Buffer.contents buf) ;
-      close_out oc ;
-      Printf.printf "\nwrote %s\n" path
-    end
+       nothing *)
+    Harness.write_report cfg ~path:"BENCH_faults.json"
+      ~refuse:Harness.single_core (Buffer.contents buf)

@@ -15,6 +15,52 @@ type config = {
 
 let default = { quick = false; runs = 3; runtimes = false; force = false }
 
+let mode cfg = if cfg.quick then "quick" else "full"
+
+(* ---- committed reports ---- *)
+
+(* Refusal reason for benches that measure parallelism: a single-core
+   host measures none, and flat numbers would read as a regression. *)
+let single_core () =
+  let cores = Domain.recommended_domain_count () in
+  if cores <= 1 then
+    Some (Printf.sprintf "host exposes only %d core online" cores)
+  else None
+
+(* Refusal reason for a quick run over a full-mode report: quick mode
+   runs a smaller, different workload. A report without a recorded
+   mode predates the field and was a full run. *)
+let quick_over_full cfg path =
+  let recorded_quick () =
+    let s = In_channel.with_open_text path In_channel.input_all in
+    let needle = "\"mode\": \"quick\"" in
+    let n = String.length needle in
+    let rec scan i =
+      i + n <= String.length s && (String.sub s i n = needle || scan (i + 1))
+    in
+    scan 0
+  in
+  if cfg.quick && not (recorded_quick ()) then
+    Some "this quick run would replace full-mode numbers"
+  else None
+
+(* Write a committed BENCH_*.json in the current directory, unless it
+   exists and [refuse] (evaluated only then) gives a reason not to
+   replace it; --force overrides. *)
+let write_report cfg ~path ~refuse contents =
+  let refusal =
+    if cfg.force || not (Sys.file_exists path) then None else refuse ()
+  in
+  match refusal with
+  | Some why ->
+    Printf.printf
+      "\nWARNING: %s; NOT overwriting the committed %s (re-run with --force \
+       to override)\n"
+      why path
+  | None ->
+    Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc contents) ;
+    Printf.printf "\nwrote %s\n" path
+
 (* Median-of-runs timing for the two paths of one operator instance. *)
 let time_fm cfg ~f ~m =
   let tf = Timing.measure ~warmup:1 ~runs:cfg.runs f in

@@ -92,8 +92,7 @@ let () =
     | l -> l
   in
   Printf.printf "Morpheus bench harness — %s mode, %d timed runs per measurement\n"
-    (if !cfg.Harness.quick then "quick" else "full")
-    !cfg.Harness.runs ;
+    (Harness.mode !cfg) !cfg.Harness.runs ;
   (* The paper benches time repeated applications of one operator on one
      matrix; with the memo layer on, warmup would populate the caches and
      the measured runs would see hits instead of kernels. Off globally;

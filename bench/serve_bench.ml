@@ -1,12 +1,14 @@
 (* Serving bench: closed-loop clients against an in-process scoring
    server on a Unix socket, measuring end-to-end request latency
-   (client-side p50/p95/p99) and throughput. The interesting contrast
-   is micro-batching on (max_batch 64) vs off (max_batch 1): with
-   batching, concurrent same-model requests fuse into one factorized
-   select_rows + product, so the R-side work is paid once per batch
-   instead of once per request.
+   (client-side p50/p95/p99) and throughput, with micro-batching on
+   (max_batch 64) vs off (max_batch 1). The server's prepared scorer
+   pays the R-side work once per (model, dataset), so a batch costs a
+   select_rows + S-side product + gathers either way: fusion can only
+   save per-batch fixed costs (wake-ups, dispatch), not R-side work.
 
-   Results go to stdout and BENCH_serve.json in the current directory. *)
+   Results go to stdout and BENCH_serve.json in the current directory.
+   A quick run refuses to replace a full-mode BENCH_serve.json (the
+   workloads differ) unless --force is given. *)
 
 open La
 open Morpheus
@@ -178,6 +180,10 @@ let run (cfg : Harness.config) =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n" ;
   Buffer.add_string buf
+    (Printf.sprintf "  \"experiment\": \"serve\", \"mode\": %S, \"cores_online\": %d,\n"
+       (Harness.mode cfg)
+       (Domain.recommended_domain_count ())) ;
+  Buffer.add_string buf
     (Printf.sprintf
        "  \"workload\": { \"ns\": %d, \"nr\": %d, \"d\": %d, \"clients\": %d,\n\
        \    \"requests_per_client\": %d, \"ids_per_request\": %d },\n" ns nr d
@@ -187,6 +193,6 @@ let run (cfg : Harness.config) =
     (String.concat ",\n" (List.map json_result [ unbatched; batched ])) ;
   Buffer.add_string buf "\n  ]\n}\n" ;
   let path = "BENCH_serve.json" in
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf)) ;
-  Printf.printf "wrote %s\n%!" path
+  Harness.write_report cfg ~path
+    ~refuse:(fun () -> Harness.quick_over_full cfg path)
+    (Buffer.contents buf)

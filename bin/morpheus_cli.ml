@@ -691,7 +691,9 @@ let serve_cmd =
   in
   let max_wait =
     Arg.(value & opt float 2.0 & info [ "max-wait-ms" ]
-           ~doc:"Micro-batch linger, milliseconds.")
+           ~doc:"Cap on the micro-batch linger, milliseconds; the actual \
+                 linger is the smaller of this and the recent batch \
+                 execution time.")
   in
   let queue_bound =
     Arg.(value & opt int 1024 & info [ "queue-bound" ]

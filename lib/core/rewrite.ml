@@ -141,24 +141,58 @@ let col_sums_sq t =
 (* ------------------------------------------------------------------ *)
 (* LMM (§3.3.3 / §3.5): TX → S·X[1:dS,] + Σᵢ Kᵢ(Rᵢ·X[d'ᵢ₋₁+1:d'ᵢ,]).
    The multiplication order Kᵢ(RᵢX) — never (KᵢRᵢ)X — is what avoids
-   the computational redundancy of the join. *)
+   the computational redundancy of the join.
 
-let lmm_nt body x =
-  let n = base_rows body and d = base_cols body in
+   Split in two halves: [lmm_prepare] computes the zᵢ = RᵢXᵢ, which do
+   not depend on which rows of T are asked for; [lmm_apply] adds S·X_S
+   and the gathers Kᵢzᵢ over any body sharing those Rᵢ — in particular
+   a [Normalized.select_rows] of it, which is how the server scores a
+   handful of rows without redoing the Rᵢ-side work. [lmm_nt] issues
+   the same kernels on the same operands, so both paths agree
+   bitwise. *)
+
+type lmm_prepared = { px : Dense.t; pz : Dense.t list }
+
+let check_lmm body x =
+  let d = base_cols body in
   if Dense.rows x <> d then
     invalid_arg
-      (Printf.sprintf "Rewrite.lmm: T is %dx%d but X has %d rows" n d
-         (Dense.rows x)) ;
-  let (ent_lo, ent_hi), ranges = col_ranges body in
-  let acc =
-    match body.ent with
-    | Some s -> Mat.mm s (Dense.sub_rows x ~lo:ent_lo ~hi:ent_hi)
-    | None -> Dense.create n (Dense.cols x)
-  in
+      (Printf.sprintf "Rewrite.lmm: T is %dx%d but X has %d rows"
+         (base_rows body) d (Dense.rows x))
+
+(* zᵢ = Rᵢ·X[d'ᵢ₋₁+1:d'ᵢ,] *)
+let part_product x { mat; _ } (lo, hi) = Mat.mm mat (Dense.sub_rows x ~lo ~hi)
+
+let lmm_prepare body x =
+  check_lmm body x ;
+  let _, ranges = col_ranges body in
+  { px = x; pz = List.map2 (part_product x) body.parts ranges }
+
+(* S·X_S, the accumulator the gathers add into. *)
+let ent_product body x =
+  let (lo, hi), _ = col_ranges body in
+  match body.ent with
+  | Some s -> Mat.mm s (Dense.sub_rows x ~lo ~hi)
+  | None -> Dense.create (base_rows body) (Dense.cols x)
+
+let lmm_apply { px; pz } body =
+  if base_cols body <> Dense.rows px || List.compare_lengths body.parts pz <> 0
+  then invalid_arg "Rewrite.lmm_apply: body does not match the prepared parts" ;
+  let acc = ent_product body px in
+  List.iter2 (fun { ind; _ } z -> Indicator.gather_add ind z acc) body.parts pz ;
+  acc
+
+(* The same kernels as lmm_apply ∘ lmm_prepare, in the order the rewrite
+   has always issued them — S·X_S, then each zᵢ followed by its gather —
+   so a zᵢ is garbage as soon as it is added in. Training allocates as
+   it did before the split; computing every zᵢ up front measurably
+   raised peak RSS. *)
+let lmm_nt body x =
+  check_lmm body x ;
+  let acc = ent_product body x in
+  let _, ranges = col_ranges body in
   List.iter2
-    (fun { ind; mat } (lo, hi) ->
-      let z = Mat.mm mat (Dense.sub_rows x ~lo ~hi) in
-      Indicator.gather_add ind z acc)
+    (fun part range -> Indicator.gather_add part.ind (part_product x part range) acc)
     body.parts ranges ;
   acc
 

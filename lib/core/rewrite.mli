@@ -64,6 +64,24 @@ val lmm : Normalized.t -> Dense.t -> Dense.t
     [S·X\[1:dS,\] + Σ Kᵢ(Rᵢ·X\[…\])] — with the order [Kᵢ(RᵢX)], never
     [(KᵢRᵢ)X], which would materialize the join. *)
 
+type lmm_prepared
+(** The row-independent half of {!lmm}: [X] and the per-part products
+    [zᵢ = Rᵢ·Xᵢ]. *)
+
+val lmm_prepare : Normalized.body -> Dense.t -> lmm_prepared
+(** [lmm_prepare body x] computes every [zᵢ = Rᵢ·X\[…\]] once. Raises
+    [Invalid_argument] when [X]'s rows do not match the body's
+    columns. *)
+
+val lmm_apply : lmm_prepared -> Normalized.body -> Dense.t
+(** [lmm_apply p body] is [S·X\[1:dS,\] + Σ Kᵢzᵢ] over [body], which
+    must share the prepared body's [Rᵢ] — e.g. the body of a
+    {!Normalized.select_rows} of it. The (non-transposed) {!lmm} runs
+    the same kernels as [lmm_apply (lmm_prepare body x) body], so
+    scoring selected rows through a prepared [p] is bitwise-equal to
+    [lmm] over the selection, at O(|rows|·d_S) instead of also
+    O(Σ n_Ri·d_Ri) per call. *)
+
 val rmm : Dense.t -> Normalized.t -> Dense.t
 (** [rmm x t] is [X·T → \[X·S, (X·K₁)R₁, …\]]. *)
 

@@ -51,6 +51,14 @@ let nll family ~score ~y =
   | Poisson -> Stdlib.exp score -. (y *. score)
   | Hinge -> Float.max 0.0 (1.0 -. (y *. score))
 
+(* Mean response under the family's inverse link, from scores T·w. *)
+let mean_response family scores =
+  match family with
+  | Gaussian -> scores
+  | Logistic -> Dense.map (fun s -> 1.0 /. (1.0 +. Stdlib.exp (-.s))) scores
+  | Poisson -> Dense.map Stdlib.exp scores
+  | Hinge -> Dense.map (fun s -> if s >= 0.0 then 1.0 else -1.0) scores
+
 module Make (M : Morpheus.Data_matrix.S) = struct
   type model = { family : family; w : Dense.t }
 
@@ -90,14 +98,7 @@ module Make (M : Morpheus.Data_matrix.S) = struct
 
   let predict_scores t model = M.lmm t model.w
 
-  (* Mean response under the family's inverse link. *)
-  let predict_mean t model =
-    let scores = predict_scores t model in
-    match model.family with
-    | Gaussian -> scores
-    | Logistic -> Dense.map (fun s -> 1.0 /. (1.0 +. Stdlib.exp (-.s))) scores
-    | Poisson -> Dense.map Stdlib.exp scores
-    | Hinge -> Dense.map (fun s -> if s >= 0.0 then 1.0 else -1.0) scores
+  let predict_mean t model = mean_response model.family (predict_scores t model)
 
   let loss t model y = mean_nll model.family (predict_scores t model) y
 end

@@ -24,6 +24,10 @@ val gradient_weight : family -> score:float -> y:float -> float
 val nll : family -> score:float -> y:float -> float
 (** Per-example negative log-likelihood (up to constants). *)
 
+val mean_response : family -> Dense.t -> Dense.t
+(** The family's inverse link applied element-wise to scores [T·w]
+    (Gaussian returns [scores] itself). *)
+
 module Make (M : Morpheus.Data_matrix.S) : sig
   type model = { family : family; w : Dense.t }
 

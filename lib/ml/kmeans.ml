@@ -7,6 +7,35 @@
 
 open La
 
+(* colSums(C²): the centroids' squared norms, 1×k. *)
+let centroid_norms c = Dense.col_sums (Dense.pow_scalar c 2.0)
+
+(* The distance fill shared by training and serving: writes the n×k
+   pairwise squared distances rowSums(T²)·1 + 1·colSums(C²) − 2·T·C
+   into [d], from dt = rowSums(T²), c2 = colSums(C²) and tc = T·C. One
+   code path keeps assignment bitwise-identical whether a row is scored
+   inside [train], alone, or inside a server batch. *)
+let fill_distances_of ~dt ~c2 ~tc ~d =
+  let n = Dense.rows d and k = Dense.cols d in
+  let dd = Dense.data d
+  and dtd = Dense.data dt
+  and c2d = Dense.data c2
+  and tcd = Dense.data tc in
+  for i = 0 to n - 1 do
+    let base = i * k in
+    let dti = Array.unsafe_get dtd i in
+    for j = 0 to k - 1 do
+      Array.unsafe_set dd (base + j)
+        (dti +. Array.unsafe_get c2d j
+        -. (2.0 *. Array.unsafe_get tcd (base + j)))
+    done
+  done
+
+let assign_of ~dt ~c2 ~tc =
+  let d = Dense.create (Dense.rows tc) (Dense.cols tc) in
+  fill_distances_of ~dt ~c2 ~tc ~d ;
+  Dense.row_argmins d
+
 module Make (M : Morpheus.Data_matrix.S) = struct
   type result = {
     centroids : Dense.t; (* d×k *)
@@ -92,27 +121,8 @@ module Make (M : Morpheus.Data_matrix.S) = struct
     done ;
     Dense.hcat (List.rev !chosen)
 
-  (* The distance fill shared by training and serving: writes the n×k
-     pairwise squared distances rowSums(T²)·1 + 1·colSums(C²) − 2·T·C
-     into [d]. One code path keeps assignment bitwise-identical whether
-     a row is scored inside [train], alone, or inside a server batch. *)
   let fill_distances t ~dt ~c ~d =
-    let n = M.rows t and k = Dense.cols c in
-    let c2 = Dense.col_sums (Dense.pow_scalar c 2.0) in
-    let tc = M.lmm t c in
-    let dd = Dense.data d
-    and dtd = Dense.data dt
-    and c2d = Dense.data c2
-    and tcd = Dense.data tc in
-    for i = 0 to n - 1 do
-      let base = i * k in
-      let dti = Array.unsafe_get dtd i in
-      for j = 0 to k - 1 do
-        Array.unsafe_set dd (base + j)
-          (dti +. Array.unsafe_get c2d j
-          -. (2.0 *. Array.unsafe_get tcd (base + j)))
-      done
-    done
+    fill_distances_of ~dt ~c2:(centroid_norms c) ~tc:(M.lmm t c) ~d
 
   let distances t c =
     if Dense.rows c <> M.cols t then

@@ -6,6 +6,16 @@
 
 open La
 
+val centroid_norms : Dense.t -> Dense.t
+(** [colSums(C²)] of d×k centroids, as a 1×k row. *)
+
+val assign_of : dt:Dense.t -> c2:Dense.t -> tc:Dense.t -> int array
+(** Nearest-centroid id per row from precomputed pieces: [dt =
+    rowSums(T²)] (n×1), [c2 = ]{!centroid_norms}[ c] and [tc = T·C]
+    (n×k). Runs the same distance fill as {!Make.assign}, so the ids
+    are bitwise-identical to it given the same pieces — the serving
+    layer's prepared K-Means path. *)
+
 module Make (M : Morpheus.Data_matrix.S) : sig
   type result = {
     centroids : Dense.t;  (** d×k *)

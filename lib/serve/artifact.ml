@@ -56,15 +56,66 @@ let col_array m = Dense.col_to_array m
 (* The weight models differ only in the link applied to T·w; keeping
    one multiply + an element-wise map preserves per-row bitwise
    identity between single-row and batched scoring. *)
+let link t scores =
+  match t with
+  | Logreg _ -> Array.map sigmoid (col_array scores)
+  | Linreg _ -> col_array scores
+  | Glm (family, _) -> col_array (Ml_algs.Glm.mean_response family scores)
+  | Kmeans _ | Naive_bayes _ -> invalid_arg "Artifact.link: not a weight model"
+
 let score_normalized t tn =
   check_dim t (Normalized.cols tn) ;
   match t with
-  | Logreg w -> Array.map sigmoid (col_array (Rewrite.lmm tn w))
-  | Linreg w -> col_array (Rewrite.lmm tn w)
-  | Glm (family, w) ->
-    col_array (F.Glm.predict_mean tn { F.Glm.family; w })
+  | Logreg w | Linreg w | Glm (_, w) -> link t (Rewrite.lmm tn w)
   | Kmeans c -> Array.map float_of_int (F.Kmeans.assign tn c)
   | Naive_bayes m -> Ml_algs.Naive_bayes.predict m tn
+
+(* ---- prepared scoring ----
+
+   Scoring rows [ids] of a dataset means scoring select_rows tn ids,
+   whose Rᵢ are tn's own. Everything that depends only on the Rᵢ and
+   the model is computed once here; a score is then the S-side product
+   over the selected rows plus indicator gathers, through the same
+   kernels [score_normalized] runs — hence bitwise-equal to it. *)
+
+type prepared_kind =
+  | P_weights of t * Rewrite.lmm_prepared  (* zᵢ = Rᵢ·wᵢ *)
+  | P_kmeans of {
+      z : Rewrite.lmm_prepared;  (* Rᵢ·Cᵢ *)
+      c2 : Dense.t;  (* colSums(C²) *)
+      dt : Dense.t;  (* rowSums(T²) of the whole dataset, memoized on it *)
+    }
+  | P_direct of t  (* Naive Bayes: scores row slices directly *)
+
+type prepared = { tn : Normalized.t; kind : prepared_kind }
+
+let prepare t tn =
+  check_dim t (Normalized.cols tn) ;
+  if Normalized.is_transposed tn then
+    invalid_arg "Artifact.prepare: transposed dataset" ;
+  let body = Normalized.body tn in
+  let kind =
+    match t with
+    | Logreg w | Linreg w | Glm (_, w) -> P_weights (t, Rewrite.lmm_prepare body w)
+    | Kmeans c ->
+      P_kmeans
+        { z = Rewrite.lmm_prepare body c;
+          c2 = Ml_algs.Kmeans.centroid_norms c;
+          dt = Rewrite.row_sums_sq tn
+        }
+    | Naive_bayes _ -> P_direct t
+  in
+  { tn; kind }
+
+let score_rows p ids =
+  let sel = Normalized.select_rows p.tn ids in
+  match p.kind with
+  | P_weights (t, z) -> link t (Rewrite.lmm_apply z (Normalized.body sel))
+  | P_kmeans { z; c2; dt } ->
+    let tc = Rewrite.lmm_apply z (Normalized.body sel) in
+    let dt = Dense.of_col_array (Array.map (fun i -> Dense.get dt i 0) ids) in
+    Array.map float_of_int (Ml_algs.Kmeans.assign_of ~dt ~c2 ~tc)
+  | P_direct t -> score_normalized t sel
 
 let score_dense t x =
   check_dim t (Dense.cols x) ;

@@ -35,6 +35,26 @@ val score_normalized : t -> Normalized.t -> float array
     Bayes row slices). Raises [Invalid_argument] on a feature-dimension
     mismatch. *)
 
+type prepared
+(** A model bound to one dataset, with every row-independent part of
+    scoring precomputed: the per-part [zᵢ = Rᵢ·wᵢ] for logreg, linreg
+    and GLM ({!Rewrite.lmm_prepare}); [Rᵢ·Cᵢ], [colSums(C²)] and the
+    dataset's memoized [rowSums(T²)] for K-Means. Naive Bayes keeps its
+    direct path. *)
+
+val prepare : t -> Normalized.t -> prepared
+(** Pays the Rᵢ-side work once (O(Σ n_Ri·d_Ri) for the weight
+    models). Raises [Invalid_argument] on a feature-dimension mismatch
+    or a transposed dataset. *)
+
+val score_rows : prepared -> int array -> float array
+(** [score_rows (prepare t tn) ids] is bitwise-equal to
+    [score_normalized t (Normalized.select_rows tn ids)] — the same
+    S-side products and gathers ({!Rewrite.lmm_apply}) — at
+    O(|ids|·d_S) instead of also redoing the Rᵢ side. Ids may repeat
+    and come in any order; an out-of-range id raises
+    [Invalid_argument]. *)
+
 val score_dense : t -> Dense.t -> float array
 (** One prediction per row of a dense feature matrix (the protocol's
     raw-rows path). *)

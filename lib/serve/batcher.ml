@@ -5,8 +5,8 @@
    OCaml's Condition has no timed wait, so the close-the-batch timeout
    is implemented by polling: when a batch is open but neither full nor
    expired, the worker sleeps a quantum (max_wait/8, clamped to
-   [50µs, 1ms]) and re-checks. The quantum only bounds how precisely
-   max_wait is honored, not correctness. *)
+   [50µs, 1ms], and never past the linger) and re-checks. The quantum
+   only bounds how precisely the linger is honored, not correctness. *)
 
 type error = Overloaded | Deadline_exceeded | Expired | Rejected of string
 
@@ -38,6 +38,7 @@ type ('k, 'a, 'b) t = {
   exec : 'k -> 'a array -> ('b, string) result array;
   queue : ('k, 'a, 'b) request Queue.t;
   mutable exec_ewma : float;  (* recent batch execution time, seconds *)
+  mutable timed : bool;  (* whether exec_ewma holds a measurement yet *)
   mutable stopped : bool;
   mutable thread : Thread.t option;
 }
@@ -99,6 +100,12 @@ let same_key_pending t key =
 
 let quantum t = Float.min 1e-3 (Float.max 5e-5 (t.max_wait /. 8.0))
 
+(* How long the head may wait for company. Lingering longer than a
+   batch takes to execute costs the head more latency than merging can
+   save, so once a batch has been timed the linger is capped at the
+   recent execution time; max_wait caps it always. *)
+let linger t = if t.timed then Float.min t.max_wait t.exec_ewma else t.max_wait
+
 let run_batch t batch =
   let payloads = Array.map (fun r -> r.payload) batch in
   let key = batch.(0).key in
@@ -121,8 +128,8 @@ let run_batch t batch =
   let exec_dt = now () -. exec_t0 in
   Analysis.Sync.lock t.m ;
   t.exec_ewma <-
-    (if t.exec_ewma = 0.0 then exec_dt
-     else (0.8 *. t.exec_ewma) +. (0.2 *. exec_dt)) ;
+    (if t.timed then (0.8 *. t.exec_ewma) +. (0.2 *. exec_dt) else exec_dt) ;
+  t.timed <- true ;
   Metrics.record_batch t.metrics ~requests:(Array.length batch) ~rows ;
   Array.iteri
     (fun i req ->
@@ -148,8 +155,8 @@ let rec worker t =
     else begin
       let head = Queue.peek t.queue in
       let full = same_key_pending t head.key >= t.max_batch in
-      let expired = now () -. head.enqueued >= t.max_wait in
-      if full || expired || t.stopped then begin
+      let left = linger t -. (now () -. head.enqueued) in
+      if full || left <= 0.0 || t.stopped then begin
         let batch = take_batch t head.key in
         Analysis.Sync.unlock t.m ;
         if Array.length batch > 0 then run_batch t batch ;
@@ -157,7 +164,7 @@ let rec worker t =
       end
       else begin
         Analysis.Sync.unlock t.m ;
-        Thread.delay (quantum t) ;
+        Thread.delay (Float.min (quantum t) left) ;
         worker t
       end
     end
@@ -180,6 +187,7 @@ let create ?(max_batch = 64) ?(max_wait = 2e-3) ?(queue_bound = 1024) ~metrics
       exec;
       queue = Queue.create ();
       exec_ewma = 0.0;
+      timed = false;
       stopped = false;
       thread = None
     }

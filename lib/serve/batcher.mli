@@ -1,9 +1,10 @@
 (** Micro-batching: concurrent scoring requests against the same model
     (and dataset) coalesce into one fused execution — for factorized
-    scoring, one [select_rows] + one factorized matrix-vector product
-    instead of N row gathers. The paper's rewrites make the batch cost
-    O(batch·d_S + d_R) where N independent requests would each pay the
-    full [Rᵢ]-side work.
+    scoring, one [select_rows] + one prepared-scorer product and gather
+    ({!Artifact.score_rows}) instead of N. With the [Rᵢ]-side work
+    prepared once per model and dataset, merging saves only per-batch
+    fixed costs, which is why the linger is capped at what a batch
+    costs to run.
 
     Generic over key, payload, and result so the deadline/shedding
     semantics are testable with an injected (slow, failing, counting)
@@ -38,8 +39,11 @@ val create :
   ('k, 'a, 'b) t
 (** Starts the batching thread. A batch closes when [max_batch]
     same-key requests are pending (default 64) or the oldest of them
-    has waited [max_wait] seconds (default 2ms; 0 means "whatever is
-    queued right now"). [queue_bound] (default 1024) is the shedding
+    has lingered [min max_wait e] seconds, where [e] is the recent
+    batch execution time (an ewma; before the first batch, [max_wait]
+    alone): waiting longer than a batch costs to run loses the head
+    more latency than merging can save. [max_wait] defaults to 2ms; 0
+    means "whatever is queued right now". [queue_bound] (default 1024) is the shedding
     threshold on pending requests. [size] reports a request's row count
     for the batch metrics. [exec] receives equal-key payloads in
     submission order and returns one result per payload — per-request

@@ -3,7 +3,7 @@
      handler thread: read frame → parse → resolve model (registry) →
        validate shapes → Batcher.submit (blocks)
      batching thread: coalesce same-(model, dataset) requests →
-       one factorized select_rows + lmm (or one dense gemm) →
+       one select_rows + prepared-scorer gather (or one dense gemm) →
        split results per request
      handler thread: render response frame → write
 
@@ -65,6 +65,16 @@ let payload_rows = function
   | P_ids ids -> Array.length ids
   | P_where _ -> 1 (* row count known only after the mask runs *)
 
+(* A cached dataset: the normalized matrix, its schema hash, and the
+   prepared scorers built over it, keyed by model id. Ids ("name@vN")
+   are immutable, so a new version is a new key and nothing is ever
+   invalidated; evicting the dataset drops its scorers with it. *)
+type dataset = {
+  tn : Normalized.t;
+  hash : string;
+  scorers : Artifact.prepared Dataset_cache.t;
+}
+
 type t = {
   cfg : config;
   metrics : Metrics.t;
@@ -77,8 +87,10 @@ type t = {
   (* loaded artifacts, keyed by resolved "name@vN" *)
   models : (string, Artifact.t * Registry.manifest) Hashtbl.t;
   model_m : Analysis.Sync.t;
-  (* loaded normalized datasets + their schema hash, LRU *)
-  datasets : (Normalized.t * string) Dataset_cache.t;
+  (* loaded normalized datasets, LRU *)
+  datasets : dataset Dataset_cache.t;
+  prepared_builds : int Atomic.t;
+  prepared_hits : int Atomic.t;
   mutable batcher : (batch_key, batch_payload, float array) Batcher.t option;
   (* one circuit breaker per dataset path *)
   breakers : (string, Breaker.t) Hashtbl.t;
@@ -167,7 +179,15 @@ let get_dataset t path =
       Breaker.failure b ;
       Error msg
     in
-    match Dataset_cache.get t.datasets path with
+    let load path =
+      Fault.point "dataset_cache.load" ;
+      let tn = Io.load ~dir:path in
+      { tn;
+        hash = Registry.schema_hash tn;
+        scorers = Dataset_cache.create ~capacity:t.cfg.cache_capacity
+      }
+    in
+    match Dataset_cache.get t.datasets path ~load with
     | v ->
       Breaker.success b ;
       Ok v
@@ -177,6 +197,21 @@ let get_dataset t path =
     | exception Fault.Injected p -> fail ("injected fault at " ^ p)
     | exception Validate.Numeric_error i -> fail (Validate.message i)
   end
+
+(* The model's prepared scorer over [ds], built on first use. Built
+   outside the cache lock: preparing runs LA kernels, which may enter a
+   parallel region. Only the batching thread calls this, so find→add
+   cannot race another build of the same key. *)
+let prepared_scorer t ds model artifact =
+  match Dataset_cache.find ds.scorers model with
+  | Some p ->
+    Atomic.incr t.prepared_hits ;
+    p
+  | None ->
+    let p = Artifact.prepare artifact ds.tn in
+    Dataset_cache.add ds.scorers model p ;
+    Atomic.incr t.prepared_builds ;
+    p
 
 (* ---- the fused batch executor ---- *)
 
@@ -232,9 +267,9 @@ let exec_batch t key payloads =
     | Some path -> (
       match get_dataset t path with
       | Error msg -> all_error payloads msg
-      | Ok (tn, hash) -> (
+      | Ok ds -> (
         match manifest.Registry.schema_hash with
-        | Some h when h <> hash ->
+        | Some h when h <> ds.hash ->
           all_error payloads
             (Printf.sprintf
                "schema mismatch: model %s was trained on a different column \
@@ -245,7 +280,7 @@ let exec_batch t key payloads =
           | Some _ -> (
             (* every payload under this key carries the same canonical
                predicate; evaluate the per-table masks and the
-               factorized select_rows + score once, then hand each
+               select_rows + prepared score once, then hand each
                fused request the full segment's predictions *)
             match
               Array.find_opt
@@ -255,7 +290,7 @@ let exec_batch t key payloads =
             | None -> all_error payloads "where batch carries no predicate"
             | Some (P_rows _ | P_ids _) -> assert false
             | Some (P_where pred) -> (
-              match Relalg.mask tn pred with
+              match Relalg.mask ds.tn pred with
               | exception Relalg.Rel_error msg -> all_error payloads msg
               | ids ->
                 if Array.length ids = 0 then
@@ -266,8 +301,9 @@ let exec_batch t key payloads =
                     payloads
                 else
                   let preds =
-                    Artifact.score_normalized artifact
-                      (Normalized.select_rows tn ids)
+                    Artifact.score_rows
+                      (prepared_scorer t ds key.bk_model artifact)
+                      ids
                   in
                   if Validate.array_ok preds then
                     Array.map
@@ -279,7 +315,7 @@ let exec_batch t key payloads =
                     all_error payloads
                       "non-finite prediction (corrupt model or dataset)"))
           | None ->
-            let n = Normalized.rows tn in
+            let n = Normalized.rows ds.tn in
             (* per-request id validation; only valid requests join the
                fused gather *)
             let counts =
@@ -307,11 +343,12 @@ let exec_batch t key payloads =
             if Array.length ids = 0 then
               split_results payloads [||] counts
             else
-              (* the micro-batching payoff: one factorized select_rows +
-                 one factorized product for the whole batch *)
+              (* one select_rows + the prepared scorer's S-side product
+                 and gathers for the whole batch *)
               let preds =
-                Artifact.score_normalized artifact
-                  (Normalized.select_rows tn ids)
+                Artifact.score_rows
+                  (prepared_scorer t ds key.bk_model artifact)
+                  ids
               in
               checked_preds payloads preds counts))))
 
@@ -409,6 +446,18 @@ let stats t =
             [ ("entries", Json.Num (float_of_int (Dataset_cache.length t.datasets)));
               ("capacity", Json.Num (float_of_int (Dataset_cache.capacity t.datasets)));
               ("evictions", Json.Num (float_of_int (Dataset_cache.evictions t.datasets)))
+            ] );
+        ( "prepared",
+          Json.Obj
+            [ ("builds", Json.Num (float_of_int (Atomic.get t.prepared_builds)));
+              ("hits", Json.Num (float_of_int (Atomic.get t.prepared_hits)));
+              ( "entries",
+                Json.Num
+                  (float_of_int
+                     (List.fold_left
+                        (fun acc ds -> acc + Dataset_cache.length ds.scorers)
+                        0
+                        (Dataset_cache.values t.datasets))) )
             ] );
         ( "queue",
           Json.Obj
@@ -830,10 +879,9 @@ let start cfg =
       conn_cv = Analysis.Sync.condition ();
       models = Hashtbl.create 8;
       model_m = Analysis.Sync.create ~name:"serve.server.models" ();
-      datasets =
-        Dataset_cache.create ~capacity:cfg.cache_capacity ~load:(fun path ->
-            let tn = Io.load ~dir:path in
-            (tn, Registry.schema_hash tn));
+      datasets = Dataset_cache.create ~capacity:cfg.cache_capacity;
+      prepared_builds = Atomic.make 0;
+      prepared_hits = Atomic.make 0;
       batcher = None;
       breakers = Hashtbl.create 8;
       breaker_m = Analysis.Sync.create ~name:"serve.server.breakers" ();

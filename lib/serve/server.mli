@@ -27,10 +27,13 @@ type config = {
           (["host:0"] picks an ephemeral port — read it back with
           {!endpoint}) *)
   max_batch : int;  (** micro-batch close threshold (requests) *)
-  max_wait : float;  (** micro-batch max linger, seconds *)
+  max_wait : float;
+      (** cap on the micro-batch linger, seconds (the batcher lingers
+          at most the recent batch execution time below it) *)
   queue_bound : int;  (** pending requests before shedding *)
   handlers : int;  (** connection-handler threads *)
-  cache_capacity : int;  (** dataset LRU entries *)
+  cache_capacity : int;
+      (** dataset LRU entries, and prepared scorers kept per dataset *)
   default_deadline_ms : float option;
       (** applied to requests that carry no deadline *)
   breaker_threshold : int;
@@ -85,7 +88,7 @@ val stop : t -> unit
 
 val stats : t -> Json.t
 (** The [stats] payload: metrics snapshot + server section (uptime,
-    loaded models, dataset cache, queue). *)
+    loaded models, dataset cache, prepared scorers, queue). *)
 
 val metrics : t -> Metrics.t
 

@@ -205,6 +205,142 @@ let test_batcher_coalesced_equals_alone () =
      | Some c -> Option.value ~default:0 (Json.to_int c) < Array.length ids
      | None -> false)
 
+(* ---- prepared scoring ---- *)
+
+let bits a = Array.map Int64.bits_of_float a
+
+(* every artifact kind, with each GLM family *)
+let every_kind d =
+  all_artifacts d
+  @ List.map
+      (fun family -> Artifact.Glm (family, weights ~seed:15 d))
+      Ml_algs.Glm.all_families
+
+(* score_rows over a prepared scorer = score_normalized over the
+   selection, bitwise, for every kind over PK-FK, star and M:N data
+   (dense and sparse base tables), with duplicated, reordered and
+   single ids — all through one prepared scorer per artifact *)
+let qcheck_prepared_equals_selected =
+  let gen =
+    QCheck.Gen.(
+      quad (int_range 0 100_000)
+        (oneofl Test_support.Gen.shapes)
+        bool
+        (list_size (int_range 1 12) (int_range 0 1_000_000)))
+  in
+  let print (seed, shape, sparse, raw) =
+    Printf.sprintf "seed %d, %s%s, ids %s" seed
+      (Test_support.Gen.shape_name shape)
+      (if sparse then "/sparse" else "")
+      (String.concat "," (List.map string_of_int raw))
+  in
+  QCheck.Test.make ~name:"score_rows = score_normalized of select_rows"
+    ~count:60 (QCheck.make ~print gen) (fun (seed, shape, sparse, raw) ->
+      let t = Test_support.Gen.normalized ~seed ~sparse shape in
+      let n, d = Normalized.dims t in
+      let ids = Array.of_list (List.map (fun i -> i mod n) raw) in
+      let draws =
+        [ ids;
+          Array.append ids ids;
+          Array.of_list (List.rev (Array.to_list ids));
+          [| ids.(0) |]
+        ]
+      in
+      List.iter
+        (fun artifact ->
+          let p = Artifact.prepare artifact t in
+          List.iter
+            (fun ids ->
+              let want =
+                Artifact.score_normalized artifact (Normalized.select_rows t ids)
+              in
+              let got = Artifact.score_rows p ids in
+              if bits got <> bits want then
+                QCheck.Test.fail_reportf "%s: prepared scoring differs"
+                  (Artifact.describe artifact))
+            draws)
+        (every_kind d) ;
+      true)
+
+let test_prepared_rejects_bad_input () =
+  let t = pkfk () in
+  let d = snd (Normalized.dims t) in
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  Alcotest.(check bool) "dimension mismatch" true
+    (raises (fun () -> Artifact.prepare (Artifact.Logreg (weights (d + 1))) t)) ;
+  let p = Artifact.prepare (Artifact.Logreg (weights d)) t in
+  Alcotest.(check bool) "out-of-range id" true
+    (raises (fun () -> Artifact.score_rows p [| Normalized.rows t |]))
+
+(* Scorers are keyed by immutable model ids: publishing v2 must not
+   serve v1's cached z, and evicting a dataset (capacity 1, two
+   datasets alternating) drops and rebuilds its scorers — every answer
+   stays bitwise-equal to its own version's direct score. *)
+let test_prepared_staleness () =
+  with_dir @@ fun root ->
+  let ta = pkfk ~seed:41 () and tb = pkfk ~seed:42 ~ns:250 () in
+  let d = snd (Normalized.dims ta) in
+  let ds_a = Filename.concat root "a" and ds_b = Filename.concat root "b" in
+  Io.save ~dir:ds_a ta ;
+  Io.save ~dir:ds_b tb ;
+  let reg = Filename.concat root "reg" in
+  let publish seed =
+    let a = Artifact.Logreg (weights ~seed d) in
+    ignore (Registry.save ~dir:reg ~name:"m" ~schema_hash:(Registry.schema_hash ta) a) ;
+    a
+  in
+  let socket = Filename.concat root "sock" in
+  let server =
+    Server.start
+      { (Server.default_config ~registry:reg ~socket) with
+        Server.handlers = 1;
+        max_wait = 1e-3;
+        cache_capacity = 1
+      }
+  in
+  Fun.protect ~finally:(fun () -> Server.stop server)
+  @@ fun () ->
+  Client.with_client ~socket
+  @@ fun c ->
+  let ids = [| 3; 0; 17; 3; 199 |] in
+  let expect ~what ~model artifact (t, dir) =
+    let want = Artifact.score_normalized artifact (Normalized.select_rows t ids) in
+    match Client.score_ids c ~model ~dataset:dir ids with
+    | Error (code, msg) -> Alcotest.failf "%s: [%s] %s" what code msg
+    | Ok got ->
+      if bits got <> bits want then Alcotest.failf "%s: stale or wrong bits" what
+  in
+  let a = (ta, ds_a) and b = (tb, ds_b) in
+  let v1 = publish 61 in
+  expect ~what:"v1 on a" ~model:"m" v1 a ;
+  expect ~what:"v1 on a, again" ~model:"m" v1 a ;
+  let v2 = publish 62 in
+  expect ~what:"v2 on a" ~model:"m" v2 a ;
+  expect ~what:"pinned v1 on a" ~model:"m@v1" v1 a ;
+  for round = 1 to 3 do
+    List.iter
+      (fun (name, ds) ->
+        expect ~what:(Printf.sprintf "round %d: v2 on %s" round name) ~model:"m" v2 ds ;
+        expect ~what:(Printf.sprintf "round %d: v1 on %s" round name)
+          ~model:"m@v1" v1 ds)
+      [ ("b", b); ("a", a) ]
+  done ;
+  let stats = Server.stats server in
+  let int_at path =
+    List.fold_left (fun acc k -> Option.bind acc (Json.member k)) (Some stats) path
+    |> Fun.flip Option.bind Json.to_int
+    |> Option.value ~default:(-1)
+  in
+  Alcotest.(check bool) "datasets were evicted" true
+    (int_at [ "server"; "dataset_cache"; "evictions" ] >= 6) ;
+  (* 3 builds on a before the alternation, then 2 per dataset visit *)
+  Alcotest.(check int) "scorers rebuilt after eviction" 15
+    (int_at [ "server"; "prepared"; "builds" ]) ;
+  Alcotest.(check int) "repeat score hit the scorer" 1
+    (int_at [ "server"; "prepared"; "hits" ]) ;
+  Alcotest.(check int) "one scorer resident at capacity 1" 1
+    (int_at [ "server"; "prepared"; "entries" ])
+
 (* ---- deadline + shedding, with an injected slow executor ---- *)
 
 let slow_batcher ?(queue_bound = 1024) ~delay metrics =
@@ -257,23 +393,49 @@ let test_submit_after_stop_rejected () =
   | Ok _ -> Alcotest.fail "submit after stop succeeded"
   | Error e -> Alcotest.failf "wrong error: %s" (Batcher.error_code e)
 
+(* The linger is capped at what a batch costs: once a batch has been
+   timed, a lone request behind a trivially cheap executor is not held
+   for the full max_wait. *)
+let test_linger_capped_by_exec_time () =
+  let metrics = Metrics.create () in
+  let b =
+    Batcher.create ~max_batch:64 ~max_wait:0.2 ~metrics
+      ~size:(fun _ -> 1)
+      ~exec:(fun _ payloads -> Array.map (fun p -> Ok p) payloads)
+      ()
+  in
+  Fun.protect ~finally:(fun () -> Batcher.stop b)
+  @@ fun () ->
+  (match Batcher.submit b 0 "warm-up" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "warm-up: %s" (Batcher.error_code e)) ;
+  let t0 = Unix.gettimeofday () in
+  (match Batcher.submit b 0 "lone" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "lone: %s" (Batcher.error_code e)) ;
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt >= 0.1 then
+    Alcotest.failf "lone request lingered %.1fms behind a cheap executor"
+      (1e3 *. dt)
+
 (* ---- dataset LRU cache ---- *)
 
 let test_lru_eviction () =
   let loads = ref [] in
-  let cache =
-    Dataset_cache.create ~capacity:2 ~load:(fun key ->
+  let cache = Dataset_cache.create ~capacity:2 in
+  let get key =
+    Dataset_cache.get cache key ~load:(fun key ->
         loads := key :: !loads ;
         String.uppercase_ascii key)
   in
-  Alcotest.(check string) "a" "A" (Dataset_cache.get cache "a") ;
-  Alcotest.(check string) "b" "B" (Dataset_cache.get cache "b") ;
-  Alcotest.(check string) "a hit" "A" (Dataset_cache.get cache "a") ;
+  Alcotest.(check string) "a" "A" (get "a") ;
+  Alcotest.(check string) "b" "B" (get "b") ;
+  Alcotest.(check string) "a hit" "A" (get "a") ;
   (* c evicts b (least recently used), not a *)
-  Alcotest.(check string) "c" "C" (Dataset_cache.get cache "c") ;
+  Alcotest.(check string) "c" "C" (get "c") ;
   Alcotest.(check bool) "a kept" true (Dataset_cache.mem cache "a") ;
   Alcotest.(check bool) "b evicted" false (Dataset_cache.mem cache "b") ;
-  ignore (Dataset_cache.get cache "b") ;
+  ignore (get "b") ;
   Alcotest.(check (list string)) "loads in order" [ "a"; "b"; "c"; "b" ]
     (List.rev !loads) ;
   Alcotest.(check int) "hits" 1 (Dataset_cache.hits cache) ;
@@ -282,16 +444,16 @@ let test_lru_eviction () =
 
 let test_lru_failed_load_not_cached () =
   let calls = ref 0 in
-  let cache =
-    Dataset_cache.create ~capacity:2 ~load:(fun _ ->
-        incr calls ;
-        if !calls = 1 then failwith "flaky" else "ok")
+  let cache = Dataset_cache.create ~capacity:2 in
+  let load _ =
+    incr calls ;
+    if !calls = 1 then failwith "flaky" else "ok"
   in
-  (match Dataset_cache.get cache "k" with
+  (match Dataset_cache.get cache "k" ~load with
   | _ -> Alcotest.fail "failed load returned a value"
   | exception Failure _ -> ()) ;
   Alcotest.(check bool) "failure not cached" false (Dataset_cache.mem cache "k") ;
-  Alcotest.(check string) "retry loads" "ok" (Dataset_cache.get cache "k")
+  Alcotest.(check string) "retry loads" "ok" (Dataset_cache.get cache "k" ~load)
 
 (* ---- protocol round-trip ---- *)
 
@@ -339,7 +501,14 @@ let () =
         [ Alcotest.test_case "batch = single, bitwise" `Quick
             test_batch_equals_single_bitwise;
           Alcotest.test_case "coalesced through the batcher" `Quick
-            test_batcher_coalesced_equals_alone ] );
+            test_batcher_coalesced_equals_alone;
+          Alcotest.test_case "linger capped by exec time" `Quick
+            test_linger_capped_by_exec_time ] );
+      ( "prepared",
+        [ QCheck_alcotest.to_alcotest qcheck_prepared_equals_selected;
+          Alcotest.test_case "bad input" `Quick test_prepared_rejects_bad_input;
+          Alcotest.test_case "versions and eviction" `Quick
+            test_prepared_staleness ] );
       ( "backpressure",
         [ Alcotest.test_case "deadline exceeded" `Quick test_deadline_exceeded;
           Alcotest.test_case "overload shedding" `Quick test_overload_shedding;
