@@ -692,8 +692,8 @@ let serve_cmd =
   let max_wait =
     Arg.(value & opt float 2.0 & info [ "max-wait-ms" ]
            ~doc:"Cap on the micro-batch linger, milliseconds; the actual \
-                 linger is the smaller of this and the recent batch \
-                 execution time.")
+                 linger is the smaller of this and the recent \
+                 execution time of batches with the same key.")
   in
   let queue_bound =
     Arg.(value & opt int 1024 & info [ "queue-bound" ]

@@ -147,9 +147,9 @@ let col_sums_sq t =
    not depend on which rows of T are asked for; [lmm_apply] adds S·X_S
    and the gathers Kᵢzᵢ over any body sharing those Rᵢ — in particular
    a [Normalized.select_rows] of it, which is how the server scores a
-   handful of rows without redoing the Rᵢ-side work. [lmm_nt] issues
-   the same kernels on the same operands, so both paths agree
-   bitwise. *)
+   handful of rows without redoing the Rᵢ-side work. The full-table
+   product is lmm_apply ∘ lmm_prepare, so both paths run the same
+   kernels and agree bitwise. *)
 
 type lmm_prepared = { px : Dense.t; pz : Dense.t list }
 
@@ -182,19 +182,7 @@ let lmm_apply { px; pz } body =
   List.iter2 (fun { ind; _ } z -> Indicator.gather_add ind z acc) body.parts pz ;
   acc
 
-(* The same kernels as lmm_apply ∘ lmm_prepare, in the order the rewrite
-   has always issued them — S·X_S, then each zᵢ followed by its gather —
-   so a zᵢ is garbage as soon as it is added in. Training allocates as
-   it did before the split; computing every zᵢ up front measurably
-   raised peak RSS. *)
-let lmm_nt body x =
-  check_lmm body x ;
-  let acc = ent_product body x in
-  let _, ranges = col_ranges body in
-  List.iter2
-    (fun part range -> Indicator.gather_add part.ind (part_product x part range) acc)
-    body.parts ranges ;
-  acc
+let lmm_nt body x = lmm_apply (lmm_prepare body x) body
 
 (* RMM (§3.3.4 / §3.5): XT → [X·S, (X·K₁)R₁, …, (X·K_q)R_q]. *)
 let rmm_nt x body =

@@ -76,8 +76,8 @@ val lmm_prepare : Normalized.body -> Dense.t -> lmm_prepared
 val lmm_apply : lmm_prepared -> Normalized.body -> Dense.t
 (** [lmm_apply p body] is [S·X\[1:dS,\] + Σ Kᵢzᵢ] over [body], which
     must share the prepared body's [Rᵢ] — e.g. the body of a
-    {!Normalized.select_rows} of it. The (non-transposed) {!lmm} runs
-    the same kernels as [lmm_apply (lmm_prepare body x) body], so
+    {!Normalized.select_rows} of it. The (non-transposed) {!lmm} is
+    [lmm_apply (lmm_prepare body x) body], so
     scoring selected rows through a prepared [p] is bitwise-equal to
     [lmm] over the selection, at O(|rows|·d_S) instead of also
     O(Σ n_Ri·d_Ri) per call. *)

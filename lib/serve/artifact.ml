@@ -56,17 +56,17 @@ let col_array m = Dense.col_to_array m
 (* The weight models differ only in the link applied to T·w; keeping
    one multiply + an element-wise map preserves per-row bitwise
    identity between single-row and batched scoring. *)
-let link t scores =
-  match t with
-  | Logreg _ -> Array.map sigmoid (col_array scores)
-  | Linreg _ -> col_array scores
-  | Glm (family, _) -> col_array (Ml_algs.Glm.mean_response family scores)
-  | Kmeans _ | Naive_bayes _ -> invalid_arg "Artifact.link: not a weight model"
+let logistic scores = Array.map sigmoid (col_array scores)
+
+let mean_response family scores =
+  col_array (Ml_algs.Glm.mean_response family scores)
 
 let score_normalized t tn =
   check_dim t (Normalized.cols tn) ;
   match t with
-  | Logreg w | Linreg w | Glm (_, w) -> link t (Rewrite.lmm tn w)
+  | Logreg w -> logistic (Rewrite.lmm tn w)
+  | Linreg w -> col_array (Rewrite.lmm tn w)
+  | Glm (family, w) -> mean_response family (Rewrite.lmm tn w)
   | Kmeans c -> Array.map float_of_int (F.Kmeans.assign tn c)
   | Naive_bayes m -> Ml_algs.Naive_bayes.predict m tn
 
@@ -79,7 +79,8 @@ let score_normalized t tn =
    kernels [score_normalized] runs — hence bitwise-equal to it. *)
 
 type prepared_kind =
-  | P_weights of t * Rewrite.lmm_prepared  (* zᵢ = Rᵢ·wᵢ *)
+  | P_weights of (Dense.t -> float array) * Rewrite.lmm_prepared
+      (* the link, and zᵢ = Rᵢ·wᵢ *)
   | P_kmeans of {
       z : Rewrite.lmm_prepared;  (* Rᵢ·Cᵢ *)
       c2 : Dense.t;  (* colSums(C²) *)
@@ -96,7 +97,10 @@ let prepare t tn =
   let body = Normalized.body tn in
   let kind =
     match t with
-    | Logreg w | Linreg w | Glm (_, w) -> P_weights (t, Rewrite.lmm_prepare body w)
+    | Logreg w -> P_weights (logistic, Rewrite.lmm_prepare body w)
+    | Linreg w -> P_weights (col_array, Rewrite.lmm_prepare body w)
+    | Glm (family, w) ->
+      P_weights (mean_response family, Rewrite.lmm_prepare body w)
     | Kmeans c ->
       P_kmeans
         { z = Rewrite.lmm_prepare body c;
@@ -110,7 +114,7 @@ let prepare t tn =
 let score_rows p ids =
   let sel = Normalized.select_rows p.tn ids in
   match p.kind with
-  | P_weights (t, z) -> link t (Rewrite.lmm_apply z (Normalized.body sel))
+  | P_weights (link, z) -> link (Rewrite.lmm_apply z (Normalized.body sel))
   | P_kmeans { z; c2; dt } ->
     let tc = Rewrite.lmm_apply z (Normalized.body sel) in
     let dt = Dense.of_col_array (Array.map (fun i -> Dense.get dt i 0) ids) in
@@ -120,8 +124,7 @@ let score_rows p ids =
 let score_dense t x =
   check_dim t (Dense.cols x) ;
   match t with
-  | Logreg w ->
-    Array.map sigmoid (col_array (Blas.gemm x w))
+  | Logreg w -> logistic (Blas.gemm x w)
   | Linreg w -> col_array (Blas.gemm x w)
   | Glm (family, w) ->
     col_array

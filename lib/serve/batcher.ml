@@ -39,6 +39,7 @@ type ('k, 'a, 'b) t = {
   queue : ('k, 'a, 'b) request Queue.t;
   mutable exec_ewma : float;  (* recent batch execution time, seconds *)
   mutable timed : bool;  (* whether exec_ewma holds a measurement yet *)
+  key_ewma : ('k, float) Hashtbl.t;  (* the same, per batch key *)
   mutable stopped : bool;
   mutable thread : Thread.t option;
 }
@@ -102,9 +103,31 @@ let quantum t = Float.min 1e-3 (Float.max 5e-5 (t.max_wait /. 8.0))
 
 (* How long the head may wait for company. Lingering longer than a
    batch takes to execute costs the head more latency than merging can
-   save, so once a batch has been timed the linger is capped at the
-   recent execution time; max_wait caps it always. *)
-let linger t = if t.timed then Float.min t.max_wait t.exec_ewma else t.max_wait
+   save, so once a batch of the head's key has been timed the linger is
+   capped at that key's recent execution time; max_wait caps it always.
+   The cost is per key because keys differ by orders of magnitude: a
+   prepared id batch takes microseconds, a predicate mask or a Naive
+   Bayes batch scans the whole table. *)
+let linger t key =
+  match Hashtbl.find_opt t.key_ewma key with
+  | Some e -> Float.min t.max_wait e
+  | None -> t.max_wait
+
+(* Keys are unbounded over a server's life (every model version and
+   predicate is one), so the per-key table is emptied when it reaches
+   this size; a key seen afresh lingers max_wait until it is timed. *)
+let max_timed_keys = 1024
+
+let ewma prev dt = (0.8 *. prev) +. (0.2 *. dt)
+
+let record_exec_time t key dt =
+  t.exec_ewma <- (if t.timed then ewma t.exec_ewma dt else dt) ;
+  t.timed <- true ;
+  match Hashtbl.find_opt t.key_ewma key with
+  | Some e -> Hashtbl.replace t.key_ewma key (ewma e dt)
+  | None ->
+    if Hashtbl.length t.key_ewma >= max_timed_keys then Hashtbl.reset t.key_ewma ;
+    Hashtbl.add t.key_ewma key dt
 
 let run_batch t batch =
   let payloads = Array.map (fun r -> r.payload) batch in
@@ -127,9 +150,7 @@ let run_batch t batch =
   in
   let exec_dt = now () -. exec_t0 in
   Analysis.Sync.lock t.m ;
-  t.exec_ewma <-
-    (if t.timed then (0.8 *. t.exec_ewma) +. (0.2 *. exec_dt) else exec_dt) ;
-  t.timed <- true ;
+  record_exec_time t key exec_dt ;
   Metrics.record_batch t.metrics ~requests:(Array.length batch) ~rows ;
   Array.iteri
     (fun i req ->
@@ -155,7 +176,7 @@ let rec worker t =
     else begin
       let head = Queue.peek t.queue in
       let full = same_key_pending t head.key >= t.max_batch in
-      let left = linger t -. (now () -. head.enqueued) in
+      let left = linger t head.key -. (now () -. head.enqueued) in
       if full || left <= 0.0 || t.stopped then begin
         let batch = take_batch t head.key in
         Analysis.Sync.unlock t.m ;
@@ -188,6 +209,7 @@ let create ?(max_batch = 64) ?(max_wait = 2e-3) ?(queue_bound = 1024) ~metrics
       queue = Queue.create ();
       exec_ewma = 0.0;
       timed = false;
+      key_ewma = Hashtbl.create 16;
       stopped = false;
       thread = None
     }

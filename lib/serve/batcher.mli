@@ -40,9 +40,11 @@ val create :
 (** Starts the batching thread. A batch closes when [max_batch]
     same-key requests are pending (default 64) or the oldest of them
     has lingered [min max_wait e] seconds, where [e] is the recent
-    batch execution time (an ewma; before the first batch, [max_wait]
-    alone): waiting longer than a batch costs to run loses the head
-    more latency than merging can save. [max_wait] defaults to 2ms; 0
+    execution time of batches with that key (an ewma; before the key's
+    first batch, [max_wait] alone): waiting longer than a batch costs
+    to run loses the head more latency than merging can save, and a
+    key whose batches are cheap does not shorten the linger of one
+    whose batches are expensive. [max_wait] defaults to 2ms; 0
     means "whatever is queued right now". [queue_bound] (default 1024) is the shedding
     threshold on pending requests. [size] reports a request's row count
     for the batch metrics. [exec] receives equal-key payloads in

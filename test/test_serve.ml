@@ -418,6 +418,45 @@ let test_linger_capped_by_exec_time () =
     Alcotest.failf "lone request lingered %.1fms behind a cheap executor"
       (1e3 *. dt)
 
+(* The cap is per key: many cheap batches of one key must not shorten
+   the linger of a key whose batches are slow. After the cheap key has
+   run often, two slow-key requests 20 ms apart still fuse, because the
+   slow key's own cost (150 ms) leaves its linger at max_wait (100 ms). *)
+let test_linger_per_key () =
+  let metrics = Metrics.create () in
+  let slow_batches = ref [] in
+  let exec key payloads =
+    if key = `Slow then begin
+      slow_batches := Array.length payloads :: !slow_batches ;
+      Thread.delay 0.15
+    end ;
+    Array.map (fun p -> Ok p) payloads
+  in
+  let b =
+    Batcher.create ~max_batch:64 ~max_wait:0.1 ~metrics
+      ~size:(fun _ -> 1)
+      ~exec ()
+  in
+  Fun.protect ~finally:(fun () -> Batcher.stop b)
+  @@ fun () ->
+  let submit key p =
+    match Batcher.submit b key p with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: %s" p (Batcher.error_code e)
+  in
+  submit `Slow "slow warm-up" ;
+  for _ = 1 to 30 do
+    submit `Cheap "cheap"
+  done ;
+  slow_batches := [] ;
+  let first = Thread.create (fun () -> submit `Slow "first") () in
+  Thread.delay 0.02 ;
+  let second = Thread.create (fun () -> submit `Slow "second") () in
+  Thread.join first ;
+  Thread.join second ;
+  Alcotest.(check (list int)) "slow requests fused into one batch" [ 2 ]
+    !slow_batches
+
 (* ---- dataset LRU cache ---- *)
 
 let test_lru_eviction () =
@@ -503,7 +542,9 @@ let () =
           Alcotest.test_case "coalesced through the batcher" `Quick
             test_batcher_coalesced_equals_alone;
           Alcotest.test_case "linger capped by exec time" `Quick
-            test_linger_capped_by_exec_time ] );
+            test_linger_capped_by_exec_time;
+          Alcotest.test_case "linger cap is per key" `Quick
+            test_linger_per_key ] );
       ( "prepared",
         [ QCheck_alcotest.to_alcotest qcheck_prepared_equals_selected;
           Alcotest.test_case "bad input" `Quick test_prepared_rejects_bad_input;
