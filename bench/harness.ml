@@ -44,6 +44,14 @@ let quick_over_full cfg path =
     Some "this quick run would replace full-mode numbers"
   else None
 
+(* The provenance fields that open a committed report's JSON object
+   (indented, comma-terminated line): which experiment, quick or full
+   mode, and how many cores the host exposed. *)
+let provenance cfg ~experiment =
+  Printf.sprintf "  \"experiment\": %S, \"mode\": %S, \"cores_online\": %d,\n"
+    experiment (mode cfg)
+    (Domain.recommended_domain_count ())
+
 (* Write a committed BENCH_*.json in the current directory, unless it
    exists and [refuse] (evaluated only then) gives a reason not to
    replace it; --force overrides. *)

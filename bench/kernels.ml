@@ -5,10 +5,18 @@
    every shape and domain count, so the speed column is the only thing
    allowed to differ.
 
-   Results go to stdout and to BENCH_kernels.json (same single-core
-   overwrite guard as the scaling bench: on a 1-core host the
-   tiled-vs-naive ratio is still meaningful, but an existing file
-   recorded on real cores is not silently replaced). *)
+   Next to the square sweep, the thin shapes the training algorithms
+   actually issue (the kernel shape census of a traced train-dense
+   perfbench run): one-column products T·w (100000×20·20×1,
+   5000×80·80×1) and the one-row product wᵀ·S behind Tᵀ·p
+   (1×100000·100000×20). gemm runs these through its thin loops, not
+   the packed nest.
+
+   Results go to stdout and to BENCH_kernels.json, which records the
+   mode and cores online. The file is not silently replaced by a run on
+   a single-core host (the tiled-vs-naive ratio is still meaningful
+   there, but the domain columns are not) or by a quick run over a
+   full-mode one; --force overrides. *)
 
 open La
 open Workload
@@ -72,6 +80,65 @@ let probes d =
     }
   ]
 
+(* gemm at one (m, k, n) shape. *)
+let gemm_probe ~m ~k ~n =
+  let a = Dense.gaussian ~rng:(Rng.of_int (31 + m + k)) m k in
+  let b = Dense.gaussian ~rng:(Rng.of_int (37 + k + n)) k n in
+  { name = Printf.sprintf "gemm %dx%d*%dx%d" m k k n;
+    naive = (fun exec () -> ignore (Blas_ref.gemm ~exec a b));
+    tiled = (fun exec () -> ignore (Blas.gemm ~exec a b));
+    identical =
+      (fun exec -> bits_equal_mat (Blas_ref.gemm ~exec a b) (Blas.gemm ~exec a b))
+  }
+
+(* (m, k, n) of the census shapes; quick mode shrinks the long side. *)
+let thin_shapes quick =
+  let big = if quick then 20_000 else 100_000 in
+  let nr = if quick then 1_000 else 5_000 in
+  [ (big, 20, 1); (nr, 80, 1); (1, big, 20) ]
+
+(* Time one probe at every domain count: (domains, naive s, tiled s,
+   bitwise-identical) per count. *)
+let time_probe ~runs p =
+  List.map
+    (fun domains ->
+      let exec = Exec.make domains in
+      let tn = Timing.measure ~warmup:1 ~runs (p.naive exec) in
+      let tt = Timing.measure ~warmup:1 ~runs (p.tiled exec) in
+      let same = p.identical exec in
+      Exec.shutdown exec ;
+      (domains, tn, tt, same))
+    domain_counts
+
+let print_header ~width label =
+  Printf.printf "%-*s" width label ;
+  List.iter
+    (fun dn ->
+      Printf.printf " %9s %9s" (Printf.sprintf "naive:%d" dn)
+        (Printf.sprintf "tiled:%d" dn))
+    domain_counts ;
+  Printf.printf " %8s %5s\n" "speedup" "bits"
+
+let print_row ~width name per_domain =
+  let _, tn1, tt1, _ = List.hd per_domain in
+  let all_same = List.for_all (fun (_, _, _, s) -> s) per_domain in
+  Printf.printf "%-*s" width name ;
+  List.iter
+    (fun (_, tn, tt, _) -> Printf.printf " %9s %9s" (Harness.ts tn) (Harness.ts tt))
+    per_domain ;
+  Printf.printf "   %5.2fx %5s\n" (tn1 /. tt1) (if all_same then "ok" else "DIFF") ;
+  all_same
+
+(* The timing fields shared by square and thin JSON rows. *)
+let json_timings per_domain all_same =
+  let naive = List.map (fun (_, tn, _, _) -> tn) per_domain in
+  let tiled = List.map (fun (_, _, tt, _) -> tt) per_domain in
+  let _, tn1, tt1, _ = List.hd per_domain in
+  Printf.sprintf
+    "\"naive_seconds\": %s, \"tiled_seconds\": %s, \"tiled_speedup_1dom\": \
+     %.3f, \"bitwise_identical\": %b"
+    (json_floats naive) (json_floats tiled) (tn1 /. tt1) all_same
+
 let run cfg =
   Harness.section "Dense kernels: naive (Blas_ref) vs cache-blocked (Blas)" ;
   let dims = if cfg.Harness.quick then [ 100; 300 ] else [ 100; 500; 1000; 2000 ] in
@@ -87,34 +154,11 @@ let run cfg =
          the full sweep stays tractable *)
       let runs = if d >= 1000 then 1 else cfg.Harness.runs in
       Harness.subsection (Printf.sprintf "d = %d (runs=%d)" d runs) ;
-      Printf.printf "%-10s" "kernel" ;
-      List.iter
-        (fun dn -> Printf.printf " %9s %9s" (Printf.sprintf "naive:%d" dn)
-             (Printf.sprintf "tiled:%d" dn))
-        domain_counts ;
-      Printf.printf " %8s %5s\n" "speedup" "bits" ;
+      print_header ~width:10 "kernel" ;
       List.iter
         (fun p ->
-          let per_domain =
-            List.map
-              (fun domains ->
-                let exec = Exec.make domains in
-                let tn = Timing.measure ~warmup:1 ~runs (p.naive exec) in
-                let tt = Timing.measure ~warmup:1 ~runs (p.tiled exec) in
-                let same = p.identical exec in
-                Exec.shutdown exec ;
-                (domains, tn, tt, same))
-              domain_counts
-          in
-          let _, tn1, tt1, _ = List.hd per_domain in
-          let all_same = List.for_all (fun (_, _, _, s) -> s) per_domain in
-          Printf.printf "%-10s" p.name ;
-          List.iter
-            (fun (_, tn, tt, _) ->
-              Printf.printf " %9s %9s" (Harness.ts tn) (Harness.ts tt))
-            per_domain ;
-          Printf.printf "   %5.2fx %5s\n" (tn1 /. tt1)
-            (if all_same then "ok" else "DIFF") ;
+          let per_domain = time_probe ~runs p in
+          let all_same = print_row ~width:10 p.name per_domain in
           results := (d, p.name, per_domain, all_same) :: !results)
         probes)
     dims ;
@@ -134,9 +178,21 @@ let run cfg =
         (if sp >= 3.0 then "  [>=3x target met]" else ""))
     headline ;
   if headline <> [] then print_newline () ;
+  Harness.subsection "thin shapes (gemm, census)" ;
+  let width = 28 in
+  print_header ~width "shape" ;
+  let thin =
+    List.map
+      (fun (m, k, n) ->
+        let p = gemm_probe ~m ~k ~n in
+        let per_domain = time_probe ~runs:cfg.Harness.runs p in
+        let all_same = print_row ~width p.name per_domain in
+        ((m, k, n), per_domain, all_same))
+      (thin_shapes cfg.Harness.quick)
+  in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n" ;
-  Buffer.add_string buf (Printf.sprintf "  \"cores_online\": %d,\n" cores) ;
+  Buffer.add_string buf (Harness.provenance cfg ~experiment:"kernels") ;
   Buffer.add_string buf
     (Printf.sprintf "  \"tile_profile\": %S,\n" (Tune.describe (Tune.current ()))) ;
   Buffer.add_string buf
@@ -148,17 +204,26 @@ let run cfg =
   Buffer.add_string buf "  \"kernels\": [\n" ;
   List.iteri
     (fun i (d, name, per_domain, all_same) ->
-      let naive = List.map (fun (_, tn, _, _) -> tn) per_domain in
-      let tiled = List.map (fun (_, _, tt, _) -> tt) per_domain in
-      let _, tn1, tt1, _ = List.hd per_domain in
       Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"dim\": %d, \"naive_seconds\": %s, \
-            \"tiled_seconds\": %s, \"tiled_speedup_1dom\": %.3f, \
-            \"bitwise_identical\": %b}%s\n"
-           name d (json_floats naive) (json_floats tiled) (tn1 /. tt1) all_same
+        (Printf.sprintf "    {\"name\": %S, \"dim\": %d, %s}%s\n" name d
+           (json_timings per_domain all_same)
            (if i = List.length results - 1 then "" else ",")))
     results ;
+  Buffer.add_string buf "  ],\n  \"thin_shapes\": [\n" ;
+  List.iteri
+    (fun i ((m, k, n), per_domain, all_same) ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "    {\"name\": \"gemm\", \"m\": %d, \"k\": %d, \"n\": %d, %s}%s\n"
+           m k n
+           (json_timings per_domain all_same)
+           (if i = List.length thin - 1 then "" else ",")))
+    thin ;
   Buffer.add_string buf "  ]\n}\n" ;
-  Harness.write_report cfg ~path:"BENCH_kernels.json" ~refuse:Harness.single_core
+  let path = "BENCH_kernels.json" in
+  Harness.write_report cfg ~path
+    ~refuse:(fun () ->
+      match Harness.single_core () with
+      | Some why -> Some why
+      | None -> Harness.quick_over_full cfg path)
     (Buffer.contents buf)

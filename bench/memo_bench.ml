@@ -11,7 +11,8 @@
 
    Both arms compute bitwise-identical models (the in-place kernels are
    exact rewrites), so the delta is pure overhead removed. Results go
-   to stdout and BENCH_memo.json in the current directory. *)
+   to stdout and BENCH_memo.json in the current directory; a quick run
+   does not replace a full-mode file unless --force is given. *)
 
 open La
 open Morpheus
@@ -174,10 +175,11 @@ let run cfg =
   in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n" ;
+  Buffer.add_string buf (Harness.provenance cfg ~experiment:"memo") ;
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"setting\": {\"base\": %d, \"tr\": %d, \"fr\": %.1f, \"iters\": %d, \"quick\": %b},\n"
-       base tr fr iters cfg.Harness.quick) ;
+       "  \"setting\": {\"base\": %d, \"tr\": %d, \"fr\": %.1f, \"iters\": %d},\n"
+       base tr fr iters) ;
   Buffer.add_string buf "  \"algorithms\": [\n" ;
   List.iteri
     (fun i (name, b, a) ->
@@ -190,7 +192,6 @@ let run cfg =
     results ;
   Buffer.add_string buf "  ]\n}\n" ;
   let path = "BENCH_memo.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf) ;
-  close_out oc ;
-  Printf.printf "\nwrote %s\n" path
+  Harness.write_report cfg ~path
+    ~refuse:(fun () -> Harness.quick_over_full cfg path)
+    (Buffer.contents buf)

@@ -13,7 +13,8 @@
      standard kernel on the filtered regular matrix.
 
    The sweep varies predicate selectivity at the Fig-3 "large" cell
-   (TR = 20, FR = 4). Results go to stdout and BENCH_planner.json; the
+   (TR = 20, FR = 4). Results go to stdout and BENCH_planner.json (a quick
+   run does not replace a full-mode file unless --force is given); the
    expectation checked by eye (and recorded in the JSON) is that
    pushdown wins at every selectivity <= 0.5, where the avoided
    materialization dominates. *)
@@ -75,6 +76,7 @@ let run cfg =
   in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n" ;
+  Buffer.add_string buf (Harness.provenance cfg ~experiment:"planner") ;
   Buffer.add_string buf
     (Printf.sprintf
        "  \"setting\": {\"base\": %d, \"tr\": 20, \"fr\": 4.0, \"rows\": %d, \
@@ -99,7 +101,6 @@ let run cfg =
     results ;
   Buffer.add_string buf "  ]\n}\n" ;
   let path = "BENCH_planner.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf) ;
-  close_out oc ;
-  Printf.printf "\nwrote %s\n" path
+  Harness.write_report cfg ~path
+    ~refuse:(fun () -> Harness.quick_over_full cfg path)
+    (Buffer.contents buf)

@@ -179,10 +179,7 @@ let run (cfg : Harness.config) =
     (unbatched.sc_p95 /. Float.max 1e-9 batched.sc_p95) ;
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n" ;
-  Buffer.add_string buf
-    (Printf.sprintf "  \"experiment\": \"serve\", \"mode\": %S, \"cores_online\": %d,\n"
-       (Harness.mode cfg)
-       (Domain.recommended_domain_count ())) ;
+  Buffer.add_string buf (Harness.provenance cfg ~experiment:"serve") ;
   Buffer.add_string buf
     (Printf.sprintf
        "  \"workload\": { \"ns\": %d, \"nr\": %d, \"d\": %d, \"clients\": %d,\n\

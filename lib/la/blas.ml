@@ -14,6 +14,13 @@
    per iteration). Tile sizes come from the {!Tune} profile (autotuned
    or pinned via MORPHEUS_TUNE) and are performance-only.
 
+   gemm dispatches on the operand shape alone (no knob): a one-column
+   product (n = 1) runs register-tiled per-row dot products and a
+   one-row product (m = 1) runs the reference's own k-j loop, neither
+   packing anything; every other shape takes the blocked nest. The thin
+   loops keep the reference's per-cell sequence and zero-skips, so all
+   three give the reference's bits.
+
    Bitwise determinism is load-bearing and preserved by construction:
 
    - Each kernel is still a range-parameterized body executed through
@@ -738,10 +745,79 @@ let dot_blocked ~p ~sym ad lda bd ldb cd cs ~rlo ~rhi ~cols ~kk =
     jc := !jc + nc
   done
 
+(* ---- thin gemm shapes ----
+
+   A one-column or one-row product has no reuse for packing to buy: with
+   n = 1 every B value is read once per row, with m = 1 every A value
+   once in all. These loops run the reference's own per-cell sequence
+   (C's beta-applied value, then the depth index ascending, each term
+   guarded by the reference's [<> 0.0] skip on the A side) without
+   packing or edge tiles. *)
+
+(* n = 1, rows [lo, hi): C[i] += Σ_k A[i,k]·B[k]. Four-row register
+   tiling shares each B load across rows, as in [gemv_into]; unlike
+   gemv, the A-side zero-skip is kept, since skipping versus adding
+   ±0.0 (or 0·Inf) differs bitwise. *)
+let gemm_col ad ka bd cd lo hi =
+  let i = ref lo in
+  while hi - !i >= 4 do
+    let b0 = !i * ka in
+    let b1 = b0 + ka in
+    let b2 = b1 + ka in
+    let b3 = b2 + ka in
+    let s0 = ref (Array.unsafe_get cd !i)
+    and s1 = ref (Array.unsafe_get cd (!i + 1))
+    and s2 = ref (Array.unsafe_get cd (!i + 2))
+    and s3 = ref (Array.unsafe_get cd (!i + 3)) in
+    for k = 0 to ka - 1 do
+      let xv = Array.unsafe_get bd k in
+      let a0 = Array.unsafe_get ad (b0 + k) in
+      if a0 <> 0.0 then s0 := !s0 +. (a0 *. xv) ;
+      let a1 = Array.unsafe_get ad (b1 + k) in
+      if a1 <> 0.0 then s1 := !s1 +. (a1 *. xv) ;
+      let a2 = Array.unsafe_get ad (b2 + k) in
+      if a2 <> 0.0 then s2 := !s2 +. (a2 *. xv) ;
+      let a3 = Array.unsafe_get ad (b3 + k) in
+      if a3 <> 0.0 then s3 := !s3 +. (a3 *. xv)
+    done ;
+    Array.unsafe_set cd !i !s0 ;
+    Array.unsafe_set cd (!i + 1) !s1 ;
+    Array.unsafe_set cd (!i + 2) !s2 ;
+    Array.unsafe_set cd (!i + 3) !s3 ;
+    i := !i + 4
+  done ;
+  while !i < hi do
+    let base = !i * ka in
+    let acc = ref (Array.unsafe_get cd !i) in
+    for k = 0 to ka - 1 do
+      let av = Array.unsafe_get ad (base + k) in
+      if av <> 0.0 then acc := !acc +. (av *. Array.unsafe_get bd k)
+    done ;
+    Array.unsafe_set cd !i !acc ;
+    i := !i + 1
+  done
+
+(* m = 1: the reference's k-j loop for its single row — skip a zero
+   x_k, else add x_k times row k of B into the one output row. *)
+let gemm_row ad ka bd cd n =
+  for k = 0 to ka - 1 do
+    let xk = Array.unsafe_get ad k in
+    if xk <> 0.0 then begin
+      let bbase = k * n in
+      for j = 0 to n - 1 do
+        Array.unsafe_set cd j
+          (Array.unsafe_get cd j +. (xk *. Array.unsafe_get bd (bbase + j)))
+      done
+    end
+  done
+
 (* ---- kernels ---- *)
 
 (* C ← A·B + beta·C, explicit profile (the autotuner times candidate
-   profiles through this entry). [c] must not alias [a] or [b]. *)
+   profiles through this entry). [c] must not alias [a] or [b]. The
+   operand shape picks the loop: n = 1 and m = 1 run the thin loops
+   above, everything else the blocked nest — all with the reference's
+   bits. *)
 let gemm_into_p ~p ?exec ?(beta = 0.0) a b ~c =
   let m = Dense.rows a and ka = Dense.cols a in
   let kb = Dense.rows b and n = Dense.cols b in
@@ -751,10 +827,15 @@ let gemm_into_p ~p ?exec ?(beta = 0.0) a b ~c =
   apply_beta ?exec beta c ;
   Flops.addf (2.0 *. float_of_int m *. float_of_int ka *. float_of_int n) ;
   let ad = Dense.data a and bd = Dense.data b and cd = Dense.data c in
-  let pack_a = pack_a_rows ad ka and pack_b = pack_b_panel bd n in
-  let body lo hi =
-    blocked ~p ~tri:false cd n ~rlo:lo ~rhi:hi ~klo:0 ~khi:ka ~clo:0 ~chi:n
-      ~pack_a ~pack_b
+  let body =
+    if n = 1 then gemm_col ad ka bd cd
+    else if m = 1 then fun _ _ -> gemm_row ad ka bd cd n (* one row, one chunk *)
+    else begin
+      let pack_a = pack_a_rows ad ka and pack_b = pack_b_panel bd n in
+      fun lo hi ->
+        blocked ~p ~tri:false cd n ~rlo:lo ~rhi:hi ~klo:0 ~khi:ka ~clo:0 ~chi:n
+          ~pack_a ~pack_b
+    end
   in
   Exec.parallel_for
     ~min_chunk:(min_rows ~grain:p.Tune.grain (2 * ka * n))

@@ -10,7 +10,11 @@
     reductions fold partials over {!Exec.reduce}'s canonical grid. *)
 
 val gemm : ?exec:Exec.t -> Dense.t -> Dense.t -> Dense.t
-(** [gemm a b] is [a·b]. Raises [Invalid_argument] on dim mismatch. *)
+(** [gemm a b] is [a·b]. Raises [Invalid_argument] on dim mismatch.
+    The loop is picked by shape: one-column ([n = 1]) and one-row
+    ([m = 1]) products skip the packed, cache-blocked nest and run
+    per-row dot products or the reference's k-j loop. Every path gives
+    {!Blas_ref}'s bits. *)
 
 val tgemm : ?exec:Exec.t -> Dense.t -> Dense.t -> Dense.t
 (** [tgemm a b] is [aᵀ·b] without materializing [aᵀ]. *)

@@ -75,10 +75,13 @@ let profiles =
 
 (* Shapes that stress the edges: unit dims, row/column vectors shaped
    as matrices, primes that no tile divides, and one size past the
-   default parallel_for chunking threshold at 4 domains. *)
+   default parallel_for chunking threshold at 4 domains. gemm's thin
+   paths get their own: one-column products (n = 1, with a row count
+   that leaves a partial 4-row tile) and one-row products (m = 1). *)
 let shapes =
   [ (1, 1, 1); (1, 9, 1); (7, 1, 5); (5, 3, 7); (13, 17, 11); (4, 4, 4);
-    (33, 29, 31); (64, 40, 12) ]
+    (33, 29, 31); (64, 40, 12); (9, 7, 1); (64, 40, 1); (1, 7, 5);
+    (1, 40, 12) ]
 
 let betas = [ 0.0; 1.0; 0.5 ]
 
@@ -162,6 +165,46 @@ let test_nonfinite () =
             (Blas.weighted_crossprod a w) ;
           check_mat "tcrossprod nonfinite" (Blas_ref.tcrossprod a)
             (Blas.tcrossprod a)))
+    profiles ;
+  (* gemm's thin paths: NaN/Inf in the vector operand meet only exact
+     zeros in the matrix, so the reference — which skips a zero A-side
+     factor — never lets them into a cell and stays finite, while a
+     skip-less gemv-style loop would produce NaN. Separately, a -0.0
+     destination with beta = 1 and an all-zero A side must stay -0.0
+     (an added 0·v term would turn it into +0.0). *)
+  let col =
+    Dense.of_col_array [| 1.25; Float.nan; -0.5; 2.0; Float.infinity; 0.75; -1.0 |]
+  in
+  let a1 =
+    Dense.mapi
+      (fun i k v -> if k = 1 || k = 4 || i = 3 then 0.0 else v)
+      (gen_mat rng 9 7)
+  in
+  let x = Dense.of_arrays [| [| 0.0; -0.0; 2.0; 0.0; 1.5; 0.5; 0.0 |] |] in
+  let bx =
+    Dense.mapi
+      (fun k j v ->
+        if Dense.get x 0 k <> 0.0 then v
+        else if j mod 2 = 0 then Float.infinity
+        else Float.nan)
+      (gen_mat rng 7 5)
+  in
+  let zeros_row = Dense.of_arrays [| [| 0.0; -0.0; 0.0; 0.0; -0.0; 0.0; 0.0 |] |] in
+  let finite_col = gen_mat rng 7 1 and finite_b = gen_mat rng 7 5 in
+  let neg_zero_into name a b =
+    let cr = Dense.make (Dense.rows a) (Dense.cols b) (-0.0) in
+    let ct = Dense.copy cr in
+    Blas_ref.gemm_into ~beta:1.0 a b ~c:cr ;
+    Blas.gemm_into ~beta:1.0 a b ~c:ct ;
+    check_mat name cr ct
+  in
+  List.iter
+    (fun (_, p) ->
+      with_profile p (fun () ->
+          check_mat "gemm n=1 nonfinite" (Blas_ref.gemm a1 col) (Blas.gemm a1 col) ;
+          check_mat "gemm m=1 nonfinite" (Blas_ref.gemm x bx) (Blas.gemm x bx) ;
+          neg_zero_into "gemm_into n=1 -0.0" a1 finite_col ;
+          neg_zero_into "gemm_into m=1 -0.0" zeros_row finite_b))
     profiles
 
 (* The tiled kernels must charge exactly the reference's analytic flop
@@ -198,6 +241,13 @@ let test_flops_equal () =
   pair "gemv"
     (fun () -> ignore (Blas_ref.gemv a x))
     (fun () -> ignore (Blas.gemv a x)) ;
+  let col = gen_mat rng 9 1 and row = gen_mat rng 1 9 in
+  pair "gemm n=1"
+    (fun () -> ignore (Blas_ref.gemm a col))
+    (fun () -> ignore (Blas.gemm a col)) ;
+  pair "gemm m=1"
+    (fun () -> ignore (Blas_ref.gemm row at))
+    (fun () -> ignore (Blas.gemm row at)) ;
   List.iter
     (fun beta ->
       pair
@@ -242,7 +292,13 @@ let test_four_domains () =
             (Blas.tcrossprod ~exec a) ;
           let x = gen_vec rng 19 in
           check_vec "gemv 4dom" (Blas_ref.gemv ~exec a x)
-            (Blas.gemv ~exec a x)))
+            (Blas.gemv ~exec a x) ;
+          (* n = 1 past the chunk threshold (65536 / (2·19) = 1724 rows
+             at the default grain): four chunks whose bounds cut 4-row
+             tiles. *)
+          let tall = gen_mat rng 7001 19 and col = gen_mat rng 19 1 in
+          check_mat "gemm n=1 4dom" (Blas_ref.gemm ~exec tall col)
+            (Blas.gemm ~exec tall col)))
 
 let () =
   Alcotest.run "kernels"

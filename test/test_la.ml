@@ -230,6 +230,107 @@ let test_lstsq () =
   let b = Blas.gemm a x_true in
   check_close ~tol:1e-7 "recovers exact solution" x_true (Linalg.lstsq a b)
 
+(* ---- Linalg against its frozen boxed-accessor copy ----
+
+   Linalg's loops index [Dense.data] directly; test_support's
+   [Linalg_frozen] is the code as it was when it went through the boxed
+   [Dense.unsafe_get]/[unsafe_set] accessors. The float operations and
+   their order are meant to be unchanged, so every result must match on
+   IEEE bits, not within a tolerance. *)
+
+module F = Test_support.Linalg_frozen
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let check_bits_arr msg x y =
+  if not (Array.length x = Array.length y && Array.for_all2 same_bits x y) then
+    Alcotest.failf "%s: differs bitwise from the frozen copy" msg
+
+let check_bits msg a b =
+  Alcotest.(check (pair int int)) (msg ^ " dims") (Dense.dims a) (Dense.dims b) ;
+  check_bits_arr msg (Dense.data a) (Dense.data b)
+
+let random_sym rng n =
+  let a = Dense.random ~rng n n in
+  Dense.add a (Dense.transpose a)
+
+(* Symmetric with exact zero off-diagonals mixed in: the Jacobi sweep's
+   [|a_pq| > 1e-300] skip fires on them, at least on the first sweep. *)
+let sparse_sym rng n =
+  Dense.mapi
+    (fun i j x -> if i <> j && (i + j) mod 3 = 0 then 0.0 else x)
+    (random_sym rng n)
+
+(* The d×d cross-product shape the linreg and ginv rewrites decompose. *)
+let crossprod_100 () = Blas.crossprod (Dense.random ~rng:(Rng.of_int 7) 300 100)
+
+let symmetric_inputs () =
+  let r = Rng.of_int 2024 in
+  [ ("random 7x7", random_sym r 7);
+    ("random 20x20", random_sym r 20);
+    ("diagonal", Dense.diag_of_array [| 3.0; -1.0; 0.5; 0.0; 2.0 |]);
+    ("1x1", Dense.of_arrays [| [| -4.25 |] |]);
+    ("zero off-diagonals", sparse_sym r 9);
+    ("crossprod 100x100", crossprod_100 ()) ]
+
+let test_frozen_sym_eig () =
+  List.iter
+    (fun (name, a) ->
+      let vals, v = Linalg.sym_eig a and fvals, fv = F.sym_eig a in
+      check_bits_arr (name ^ " sym_eig values") vals fvals ;
+      check_bits (name ^ " sym_eig vectors") v fv ;
+      check_bits (name ^ " ginv_sym") (Linalg.ginv_sym a) (F.ginv_sym a))
+    (symmetric_inputs ())
+
+let test_frozen_factorizations () =
+  let r = Rng.of_int 31337 in
+  List.iter
+    (fun n ->
+      let a = Dense.random ~rng:r n n and b = Dense.random ~rng:r n 3 in
+      let s = spd n r in
+      check_bits (Printf.sprintf "solve %d" n) (Linalg.solve a b) (F.solve a b) ;
+      check_bits (Printf.sprintf "inverse %d" n) (Linalg.inverse s)
+        (F.inverse s) ;
+      Alcotest.(check bool)
+        (Printf.sprintf "determinant %d" n)
+        true
+        (same_bits (Linalg.determinant a) (F.determinant a)) ;
+      check_bits (Printf.sprintf "cholesky %d" n) (Linalg.cholesky s)
+        (F.cholesky s))
+    [ 1; 6; 17 ] ;
+  List.iter
+    (fun (n, d) ->
+      let a = Dense.random ~rng:r n d and b = Dense.random ~rng:r n 2 in
+      let tag = Printf.sprintf "%dx%d" n d in
+      let q, rr = Linalg.qr a and fq, frr = F.qr a in
+      check_bits (tag ^ " qr q") q fq ;
+      check_bits (tag ^ " qr r") rr frr ;
+      check_bits (tag ^ " lstsq_qr") (Linalg.lstsq_qr a b) (F.lstsq_qr a b) ;
+      let u, sv, v = Linalg.svd_tall a and fu, fsv, fv = F.svd_tall a in
+      check_bits (tag ^ " svd u") u fu ;
+      check_bits_arr (tag ^ " svd s") sv fsv ;
+      check_bits (tag ^ " svd v") v fv ;
+      check_bits (tag ^ " ginv") (Linalg.ginv a) (F.ginv a) ;
+      let w = Dense.transpose a in
+      check_bits (tag ^ " ginv wide") (Linalg.ginv w) (F.ginv w))
+    [ (1, 1); (9, 4); (40, 11) ] ;
+  (* a singular system still raises on the same pivot *)
+  let z = Dense.make 3 3 1.0 in
+  Alcotest.check_raises "singular" Linalg.Singular (fun () ->
+      ignore (Linalg.solve z z))
+
+(* Unboxed Jacobi: one 100×100 eigendecomposition allocated ~95 Mwords
+   of minor heap when every element went through a boxed accessor. The
+   rewritten loops allocate only the result matrices. *)
+let test_sym_eig_alloc () =
+  let a = crossprod_100 () in
+  let w0 = Gc.minor_words () in
+  ignore (Linalg.sym_eig a) ;
+  let words = Gc.minor_words () -. w0 in
+  if words >= 1e6 then
+    Alcotest.failf "sym_eig 100x100 allocated %.0f minor words (bound 1e6)"
+      words
+
 (* ---- Rng determinism & flops ---- *)
 
 let test_rng_deterministic () =
@@ -328,6 +429,13 @@ let () =
           Alcotest.test_case "ginv symmetric" `Quick test_ginv_sym;
           Alcotest.test_case "lstsq" `Quick test_lstsq;
           qc prop_ginv_moore_penrose ] );
+      ( "linalg frozen",
+        [ Alcotest.test_case "sym_eig + ginv_sym bitwise" `Quick
+            test_frozen_sym_eig;
+          Alcotest.test_case "lu/cholesky/qr/svd/ginv bitwise" `Quick
+            test_frozen_factorizations;
+          Alcotest.test_case "sym_eig 100x100 allocation" `Quick
+            test_sym_eig_alloc ] );
       ( "rng+flops",
         [ Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
           Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
